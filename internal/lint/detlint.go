@@ -23,8 +23,10 @@ import (
 //   - det-rand: the global math/rand (or math/rand/v2, crypto/rand)
 //     source. Constructing a seeded generator (rand.New,
 //     rand.NewSource, ...) is allowed — that is the deterministic way.
-//   - det-go: a real `go` statement. Simulation processes are
-//     spawned with Env.Go, which interleaves them deterministically.
+//   - det-go: a real `go` statement, or iter.Pull/iter.Pull2, whose
+//     sequence runs on a hidden coroutine goroutine. Simulation
+//     processes are spawned with Env.Go, which interleaves them
+//     deterministically.
 //   - det-sync: sync/sync.atomic primitives, channel types and
 //     operations, and select. Blocking must go through sim.Signal,
 //     sim.Queue or sim.Resource so wake order is simulated.
@@ -156,6 +158,12 @@ func (d *detWalker) visitSelector(sel *ast.SelectorExpr) {
 		d.report(sel.Pos(), RuleDetRand,
 			"crypto/rand is nondeterministic by design",
 			"use a seeded math/rand.Rand")
+	case "iter":
+		if name == "Pull" || name == "Pull2" {
+			d.report(sel.Pos(), RuleDetGo,
+				fmt.Sprintf("iter.%s runs its sequence on a hidden coroutine goroutine", name),
+				"spawn a simulation process with Env.Go, or range over the sequence")
+		}
 	case "sync", "sync/atomic":
 		d.report(sel.Pos(), RuleDetSync,
 			fmt.Sprintf("%s.%s in simulator-domain code", pathBase(path), name),

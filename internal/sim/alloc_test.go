@@ -27,3 +27,30 @@ func TestScheduleRunAllocFree(t *testing.T) {
 		t.Errorf("warm schedule/pop cycle allocates %.2f per event; want 0", avg)
 	}
 }
+
+// TestProcWaitAllocFree pins the steady-state hand-off: a warm
+// Wait — schedule, yield to the event loop, pop, resume — allocates
+// nothing.
+func TestProcWaitAllocFree(t *testing.T) {
+	e := NewEnv()
+	e.Go("sleeper", func(p *Proc) {
+		for i := 0; i < 1000; i++ {
+			p.Wait(1)
+		}
+	})
+	// Start the proc and warm the event arena.
+	if err := e.Run(64); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		if err := e.Run(e.Now() + 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("warm Wait/hand-off cycle allocates %.2f per wait; want 0", avg)
+	}
+	if err := e.Run(Infinity); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -94,7 +94,7 @@ func NewShardSet(n int, lookahead Time, workers int) *ShardSet {
 		tracer = probe.tracer
 	}
 	for i := range s.shards {
-		e := &Env{yielded: make(chan struct{})}
+		e := newEnv()
 		if s.ambient != nil {
 			rc := s.ambient.Cap()
 			if rc > privateRingCap {

@@ -271,3 +271,36 @@ func TestShardSetHandoffStress(t *testing.T) {
 		t.Fatal("no windows executed")
 	}
 }
+
+// TestShardSetProcsResumeAcrossWorkers is a -race test for resuming
+// one coroutine from different host threads: with two workers, every
+// lookahead window runs on fresh worker goroutines, and each proc
+// waits across many windows. The result must match the serial run.
+func TestShardSetProcsResumeAcrossWorkers(t *testing.T) {
+	run := func(workers int) string {
+		const nshards, lookahead = 4, Time(50)
+		set := NewShardSet(nshards, lookahead, workers)
+		sums := make([]Time, nshards)
+		for i := 0; i < nshards; i++ {
+			i := i
+			for k := 0; k < 2; k++ {
+				set.Shard(i).Go(fmt.Sprintf("w%d.%d", i, k), func(p *Proc) {
+					for n := 0; n < 300; n++ {
+						p.Wait(Time(17 + 5*i + 3*k))
+						sums[i] += p.Now()
+					}
+				})
+			}
+		}
+		if err := set.Run(Infinity); err != nil {
+			t.Fatal(err)
+		}
+		if set.Windows() < 100 {
+			t.Fatalf("workers=%d: only %d windows", workers, set.Windows())
+		}
+		return fmt.Sprint(sums)
+	}
+	if serial, par := run(1), run(2); par != serial {
+		t.Fatalf("workers=2 sums %s, serial %s", par, serial)
+	}
+}

@@ -3,10 +3,11 @@
 // Every higher layer of this repository — the simulated machine, the
 // kernel, the Copier service and the application workloads — runs on top
 // of this package. Time is virtual and measured in CPU cycles
-// (sim.Time). Simulation processes are implemented as goroutines that
-// hand control to each other through channels so that exactly one
-// process runs at any instant; combined with a strictly ordered event
-// heap this makes every run bit-for-bit reproducible.
+// (sim.Time). Simulation processes are coroutines (iter.Pull): the
+// event loop resumes one, and it runs until it blocks and switches
+// straight back, so exactly one process runs at any instant; combined
+// with a strictly ordered event heap this makes every run bit-for-bit
+// reproducible.
 //
 // The design mirrors classic process-based simulators (SimPy, OMNeT++):
 //
@@ -19,15 +20,9 @@
 //     (a monotone sequence number breaks ties), never concurrently.
 package sim
 
-// The goroutines and channels in this file are not simulated
-// concurrency — they are the coroutine mechanism that gives every
-// other package deterministic virtual time: exactly one process runs
-// at any instant, control handed over through unbuffered channels, so
-// heap order (not channel or scheduler order) decides execution.
-//copiervet:ignore-file det-go,det-sync this file implements the sim.Proc coroutine handoff; the channels/goroutines here are the sanctioned substrate everything else is checked against
-
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"copier/internal/obs"
@@ -66,9 +61,8 @@ type Env struct {
 	now     Time
 	events  eventQueue
 	seq     uint64
-	yielded chan struct{} // a proc hands control back to the main loop
-	procs   []*Proc       // all spawned, for deadlock diagnosis
-	nlive   int           // procs started and not yet finished
+	procs   []*Proc // all spawned, for deadlock diagnosis
+	nlive   int     // procs started and not yet finished
 	running bool
 	tracer  func(t Time, format string, args ...any)
 	rec     *obs.Recorder
@@ -81,12 +75,16 @@ var OnNewEnv func(*Env)
 
 // NewEnv returns an empty environment at time zero.
 func NewEnv() *Env {
-	e := &Env{yielded: make(chan struct{})}
+	e := newEnv()
 	if OnNewEnv != nil {
 		OnNewEnv(e)
 	}
 	return e
 }
+
+// newEnv is the one constructor behind NewEnv, JobCtx.NewEnv and
+// NewShardSet; it runs no hook.
+func newEnv() *Env { return &Env{} }
 
 // SetRecorder attaches a typed-event recorder. A nil recorder (the
 // default) disables structured recording; every emission site in the
@@ -135,9 +133,13 @@ func (e *Env) Schedule(d Time, fn func()) EventHandle {
 // a time; a Proc gives up control by calling Wait or by blocking on one
 // of the synchronization primitives in this package.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
+	env  *Env
+	name string
+	// next resumes the body's coroutine until it yields or returns;
+	// yieldFn, called from inside the body, suspends it. Both are set
+	// when the proc starts.
+	next    func() (struct{}, bool)
+	yieldFn func(struct{}) bool
 	// blockedOn is a human-readable reason set while the proc is
 	// waiting on a Signal/Queue; used in deadlock reports.
 	blockedOn string
@@ -158,9 +160,10 @@ type Proc struct {
 
 // Go spawns a new process whose body is fn. The process begins running
 // at the current instant (after already-scheduled events at this
-// instant). fn receives its own *Proc.
+// instant). fn receives its own *Proc. A panic in fn comes out of the
+// Run call that resumed the process, with its original value.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, name: name}
 	p.handoffFn = p.handoff
 	e.procs = append(e.procs, p)
 	e.nlive++
@@ -169,33 +172,27 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		if r := e.rec; r != nil {
 			r.Emit(obs.Event{T: int64(e.now), Kind: obs.EvProcStart, Layer: obs.LayerSim, Track: "sim:procs", Name: p.name})
 		}
-		go func() {
-			<-p.resume
+		//copiervet:ignore det-go iter.Pull is the sim.Proc coroutine itself; next and yield switch control directly, so exactly one process runs at a time
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+			p.yieldFn = yield
 			fn(p)
 			p.finished = true
 			p.env.nlive--
 			if r := p.env.rec; r != nil {
 				r.Emit(obs.Event{T: int64(p.env.now), Kind: obs.EvProcEnd, Layer: obs.LayerSim, Track: "sim:procs", Name: p.name})
 			}
-			p.env.yielded <- struct{}{}
-		}()
+		})
 		p.handoff()
 	})
 	return p
 }
 
-// handoff transfers control from the event loop to p and waits for it
-// to yield back. Must be called from the event loop.
-func (p *Proc) handoff() {
-	p.resume <- struct{}{}
-	<-p.env.yielded
-}
+// handoff transfers control from the event loop to p and returns when
+// p yields back or finishes. Must be called from the event loop.
+func (p *Proc) handoff() { p.next() }
 
-// yield gives control back to the event loop and blocks until resumed.
-func (p *Proc) yield() {
-	p.env.yielded <- struct{}{}
-	<-p.resume
-}
+// yield gives control back to the event loop and returns when resumed.
+func (p *Proc) yield() { p.yieldFn(struct{}{}) }
 
 // Env returns the environment this process belongs to.
 func (p *Proc) Env() *Env { return p.env }

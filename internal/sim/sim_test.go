@@ -298,3 +298,29 @@ func TestNegativeWaitPanics(t *testing.T) {
 	})
 	_ = e.Run(Infinity)
 }
+
+type procBoom struct{ at Time }
+
+// TestProcPanicPropagates: a panic in a proc body comes out of the Run
+// call on the caller's goroutine, carrying the original value.
+func TestProcPanicPropagates(t *testing.T) {
+	e := NewEnv()
+	e.Go("bad", func(p *Proc) {
+		p.Wait(5)
+		panic(procBoom{at: p.Now()})
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = e.Run(Infinity)
+	}()
+	if got != (procBoom{at: 5}) {
+		t.Fatalf("recovered %#v, want procBoom{at: 5}", got)
+	}
+	// The loop is reusable after the panic: Run is not left marked
+	// as running.
+	e.Schedule(1, func() {})
+	if err := e.Run(Infinity); err == nil {
+		t.Fatal("the panicked proc should still be reported as blocked")
+	}
+}
