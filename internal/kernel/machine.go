@@ -66,6 +66,11 @@ type Machine struct {
 
 	// topo is the machine's NUMA topology (nil: flat).
 	topo *topo.Topology
+
+	// copyBuf is the bounce buffer of KernelCopy and UserCopy, kept
+	// so a synchronous copy allocates no host memory once it is large
+	// enough.
+	copyBuf []byte
 }
 
 // Config sizes a machine. Topo, when set, derives Cores and MemBytes

@@ -228,6 +228,46 @@ func TestMachineCopyCycleAccounting(t *testing.T) {
 	}
 }
 
+// TestUserCopyOverlapAndBounceReuse: a copy into a range overlapping
+// its source moves the original source bytes (memmove), and a second
+// copy no larger than the first reuses the machine's bounce buffer.
+func TestUserCopyOverlapAndBounceReuse(t *testing.T) {
+	m := newMachine(2)
+	p := m.NewProcess("p")
+	const n = 8 << 10
+	buf := mkbuf(t, p, 2*n, 0)
+	want := make([]byte, n)
+	for i := range want {
+		want[i] = byte(i*7 + 3)
+	}
+	if err := p.AS.WriteAt(buf, want); err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	th := m.Spawn(p, "t", func(th *Thread) {
+		if err := th.UserCopy(buf+100, buf, n); err != nil {
+			t.Error(err)
+		}
+		first = m.copyBuf
+		if err := th.UserCopy(buf, buf+100, n/2); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := m.RunApps(th); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, n/2)
+	if err := p.AS.ReadAt(buf, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want[:n/2]) {
+		t.Fatal("overlapping copies did not move the original source bytes")
+	}
+	if cap(first) != n || &m.copyBuf[0] != &first[0] {
+		t.Fatalf("bounce buffer cap %d, reused %v; want %d, true", cap(first), &m.copyBuf[0] == &first[0], n)
+	}
+}
+
 func TestMemBackedBinderBufferVisibility(t *testing.T) {
 	m := newMachine(2)
 	server := m.NewProcess("server")

@@ -122,7 +122,7 @@ func (t *Thread) KernelCopy(dstAS *mem.AddrSpace, dst mem.VA, srcAS *mem.AddrSpa
 	if err := t.resolveRange(srcAS, src, n, false); err != nil {
 		return err
 	}
-	buf := make([]byte, n)
+	buf := t.m.bounce(n)
 	if err := srcAS.ReadAt(src, buf); err != nil {
 		return err
 	}
@@ -136,6 +136,17 @@ func (t *Thread) KernelCopy(dstAS *mem.AddrSpace, dst mem.VA, srcAS *mem.AddrSpa
 		t.m.AppCache.Stream(int64(n))
 	}
 	return nil
+}
+
+// bounce returns the machine's copy bounce buffer cut to n bytes,
+// growing it first if it is shorter. A copy reads its source into it
+// whole before writing the destination, so overlapping ranges copy
+// as memmove does.
+func (m *Machine) bounce(n units.Bytes) []byte {
+	if units.Bytes(cap(m.copyBuf)) < n {
+		m.copyBuf = make([]byte, n)
+	}
+	return m.copyBuf[:n]
 }
 
 // resolveRange faults in a VA range in kernel context, charging fault
@@ -171,7 +182,7 @@ func (t *Thread) UserCopy(dst, src mem.VA, n units.Bytes) error {
 	if err := t.resolveRange(as, src, n, false); err != nil {
 		return err
 	}
-	buf := make([]byte, n)
+	buf := t.m.bounce(n)
 	if err := as.ReadAt(src, buf); err != nil {
 		return err
 	}
