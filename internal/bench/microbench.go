@@ -7,6 +7,7 @@ import (
 	"copier/internal/acopy"
 	"copier/internal/core"
 	"copier/internal/cycles"
+	"copier/internal/mem"
 	"copier/internal/sim"
 )
 
@@ -109,6 +110,28 @@ func micro(name string, simBytesPerOp int64, fn func(b *testing.B)) MicroResult 
 	return m
 }
 
+// ATCacheMissEvict is the body of the core/atcache-miss-evict row and
+// of core.BenchmarkATCacheEvict: a default-size (4096-entry) ATCache
+// is filled, then every op is a write miss on a page never cached
+// followed by the InsertW that evicts the least recently used entry.
+func ATCacheMissEvict(b *testing.B) {
+	as := mem.NewAddrSpace(mem.NewPhysMem(1 << 20))
+	c := core.NewATCache(0)
+	const full = 4096
+	for vpn := uint64(0); vpn < full; vpn++ {
+		c.InsertW(as, vpn, mem.Frame(vpn), true)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vpn := uint64(full + i)
+		if _, ok := c.LookupW(as, vpn); ok {
+			b.Fatal("hit on a never-cached page")
+		}
+		c.InsertW(as, vpn, mem.Frame(vpn), true)
+	}
+}
+
 // RunMicrobenches runs the hot-path microbenchmarks covering the three
 // layers this repo optimizes — the simulator event queue, the service
 // ring/dispatch path, and the acopy userspace runtime — and returns
@@ -202,6 +225,11 @@ func RunMicrobenches() MicroReport {
 			}
 		}
 	}))
+
+	// ATCache: one write miss plus the InsertW that evicts the LRU
+	// entry of a full 4096-entry cache (core.BenchmarkATCacheEvict
+	// runs the same body).
+	results = append(results, micro("core/atcache-miss-evict", 0, ATCacheMissEvict))
 
 	// Service end-to-end: one op drives 40 back-to-back 64KB copies
 	// through submit → admit → dispatch → completion on the simulated

@@ -345,3 +345,178 @@ func TestSubmitCopyOnAllocFree(t *testing.T) {
 		t.Fatalf("SubmitCopyOn allocates %.1f objects per call, want 0", avg)
 	}
 }
+
+// nopCtx runs service code outside any simulated thread: costs are
+// dropped and nothing may block. It drives single serveOnce sweeps.
+type nopCtx struct{ env *sim.Env }
+
+func (c nopCtx) Exec(sim.Time)                           {}
+func (c nopCtx) Block(*sim.Signal)                       { panic("nopCtx: Block") }
+func (c nopCtx) BlockTimeout(*sim.Signal, sim.Time) bool { panic("nopCtx: BlockTimeout") }
+func (c nopCtx) SpinUntil(*sim.Signal)                   { panic("nopCtx: SpinUntil") }
+func (c nopCtx) Now() sim.Time                           { return c.env.Now() }
+func (c nopCtx) Env() *sim.Env                           { return c.env }
+
+// Alloc pin: an idle poll sweep of a sharded service with clients on
+// every node allocates nothing, both one serveOnce at a time and as
+// whole ThreadMain polling loops in virtual time. The NAPI budget is
+// raised past the measured window so the threads only poll: the
+// sleep itself goes through sim.Signal.WaitTimeout, outside core.
+func TestIdleSweepAllocFree(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NAPIBudget = 1 << 30
+	h := newNUMAHarness(t, 4, cfg)
+	for n := 0; n < 4; n++ {
+		h.svc.NewClientOn("more", h.spaces[n], h.spaces[n], nil, n)
+	}
+	ctx := nopCtx{h.env}
+	h.svc.activeThreads = 8
+	sweep := func() {
+		for slot := 0; slot < 8; slot++ {
+			if h.svc.serveOnce(ctx, slot) {
+				t.Fatalf("slot %d found work in an idle service", slot)
+			}
+		}
+	}
+	sweep()
+	if avg := testing.AllocsPerRun(100, sweep); avg != 0 {
+		t.Fatalf("idle serveOnce sweep allocates %.1f objects, want 0", avg)
+	}
+
+	h.svc.activeThreads = 0
+	h.start()
+	until := sim.Time(1_000_000)
+	if err := h.env.Run(until); err != nil {
+		t.Fatal(err)
+	}
+	sweeps := h.svc.Stats.PollSweeps
+	avg := testing.AllocsPerRun(10, func() {
+		until += 100_000
+		if err := h.env.Run(until); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if h.svc.Stats.PollSweeps == sweeps {
+		t.Fatal("service threads did not poll")
+	}
+	if avg != 0 {
+		t.Fatalf("idle ThreadMain polling allocates %.1f objects per 100k cycles, want 0", avg)
+	}
+	h.run(t, until)
+}
+
+// refClientsOf is clientsOf computed from scratch on every call, as
+// it was before partitions were cached.
+func refClientsOf(s *Service, slot int) []*Client {
+	if nn := s.numNodes(); nn > 1 {
+		node := slot % nn
+		perNode := s.activeThreads / nn
+		if perNode <= 0 {
+			perNode = 1
+		}
+		rank := slot / nn
+		var out []*Client
+		i := 0
+		for _, c := range s.clients {
+			if c.Node != node {
+				continue
+			}
+			if i%perNode == rank%perNode {
+				out = append(out, c)
+			}
+			i++
+		}
+		return out
+	}
+	n := s.activeThreads
+	if n <= 0 {
+		n = 1
+	}
+	if n == 1 {
+		return s.clients
+	}
+	var out []*Client
+	for i, c := range s.clients {
+		if i%n == slot {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// checkPartitions requires every slot's cached partition to equal a
+// from-scratch recomputation, then leaves every slot's cache filled
+// so the next change has stale entries to invalidate.
+func checkPartitions(t *testing.T, s *Service, slots int, after string) {
+	t.Helper()
+	for slot := 0; slot < slots; slot++ {
+		got, want := s.clientsOf(slot), refClientsOf(s, slot)
+		if len(got) != len(want) {
+			t.Fatalf("after %s: slot %d serves %d clients, want %d", after, slot, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("after %s: slot %d client %d = %s#%d, want %s#%d", after, slot, i,
+					got[i].Name, got[i].ID, want[i].Name, want[i].ID)
+			}
+		}
+	}
+}
+
+func TestClientPartitionCache(t *testing.T) {
+	t.Run("sharded", func(t *testing.T) {
+		h := newNUMAHarness(t, 4, DefaultConfig())
+		s, ctx := h.svc, nopCtx{h.env}
+		s.activeThreads = 8
+		checkPartitions(t, s, 8, "setup")
+		s.NewClient("flat", h.spaces[0], h.spaces[0], nil)
+		checkPartitions(t, s, 8, "NewClient")
+		var victims []*Client
+		for n := 3; n >= 0; n-- {
+			victims = append(victims, s.NewClientOn("on", h.spaces[n], h.spaces[n], nil, n))
+			checkPartitions(t, s, 8, "NewClientOn")
+		}
+		for _, c := range []*Client{h.clients[2], victims[1], victims[3]} {
+			s.KillClient(c)
+			for slot := 0; slot < 8; slot++ {
+				s.serveOnce(ctx, slot)
+			}
+			if !c.Closed() {
+				t.Fatalf("%s#%d not torn down", c.Name, c.ID)
+			}
+			checkPartitions(t, s, 8, "KillClient")
+		}
+		s.activeThreads = 4
+		checkPartitions(t, s, 8, "a thread-count change")
+	})
+	t.Run("flat-autoscale", func(t *testing.T) {
+		h := newHarness(t, Config{EnableDMA: true, MaxThreads: 4})
+		s := h.svc
+		for i := 0; i < 6; i++ {
+			s.NewClient("extra", h.uas, h.kas, nil)
+		}
+		s.activeThreads = 1
+		checkPartitions(t, s, 4, "setup")
+		// Backlog above HighLoad with a parked thread: autoscale
+		// unparks one per call.
+		s.parked = 1
+		s.backlogBytes = 64 << 20
+		for want := 2; want <= 4; want++ {
+			s.autoscale()
+			if s.activeThreads != want {
+				t.Fatalf("activeThreads = %d, want %d", s.activeThreads, want)
+			}
+			checkPartitions(t, s, 4, "scale-up")
+		}
+		s.NewClient("late", h.uas, h.kas, nil)
+		checkPartitions(t, s, 4, "NewClient at 4 threads")
+		s.backlogBytes = 0
+		for want := 3; want >= 1; want-- {
+			s.autoscale()
+			if s.activeThreads != want {
+				t.Fatalf("activeThreads = %d, want %d", s.activeThreads, want)
+			}
+			checkPartitions(t, s, 4, "scale-down")
+		}
+	})
+}

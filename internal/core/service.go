@@ -293,7 +293,14 @@ type Service struct {
 
 	clients []*Client
 	nextCID int
-	groups  map[string]*CGroupAccount
+	// clientGen counts changes to the client set or its placement:
+	// every append to or removal from clients, and every write of a
+	// client's Node, bumps it. parts caches clientsOf per thread slot,
+	// each stamped with the clientGen and activeThreads it was built
+	// for.
+	clientGen uint64
+	parts     []clientPart
+	groups    map[string]*CGroupAccount
 	// nextTaskID stamps copy tasks with a service-wide ID at
 	// submission so trace events correlate across submit/dispatch/
 	// complete. IDs start at 1; 0 marks an unstamped task.
@@ -520,6 +527,7 @@ func (s *Service) NewClient(name string, uas, kas *mem.AddrSpace, group *CGroupA
 	}
 	s.nextCID++
 	s.clients = append(s.clients, c)
+	s.clientGen++
 	group.clients = append(group.clients, c)
 	if s.cfg.EnableATCache {
 		s.at.Attach(uas)
@@ -538,6 +546,7 @@ func (s *Service) NewClientOn(name string, uas, kas *mem.AddrSpace, group *CGrou
 	c := s.NewClient(name, uas, kas, group)
 	if node > 0 && node < s.numNodes() {
 		c.Node = node
+		s.clientGen++
 	}
 	return c
 }
@@ -636,6 +645,7 @@ func (s *Service) CloseClient(c *Client) {
 	for i, x := range s.clients {
 		if x == c {
 			s.clients = append(s.clients[:i], s.clients[i+1:]...)
+			s.clientGen++
 			break
 		}
 	}
@@ -768,11 +778,50 @@ func (s *Service) autoscale() {
 	}
 }
 
+// clientPart is one thread slot's cached clientsOf result.
+type clientPart struct {
+	gen     uint64
+	active  int
+	clients []*Client
+}
+
 // clientsOf partitions clients across active threads. On the flat
 // machine this is the historical modulo partitioning; on a sharded
 // service thread slot t serves node t%nodes, and a node's threads
-// stripe that node's clients among themselves.
+// stripe that node's clients among themselves. The partition is
+// cached per slot and rebuilt only when the client set, a client's
+// node or activeThreads changes; a zero-value entry is valid for
+// clientGen 0 because every partition of no clients is empty.
+//
+//copier:noalloc
 func (s *Service) clientsOf(slot int) []*Client {
+	if s.numNodes() == 1 && s.activeThreads <= 1 {
+		return s.clients
+	}
+	if slot >= len(s.parts) {
+		s.growParts(slot)
+	}
+	p := &s.parts[slot]
+	if p.gen != s.clientGen || p.active != s.activeThreads {
+		*p = clientPart{gen: s.clientGen, active: s.activeThreads, clients: s.partition(slot)}
+	}
+	return p.clients
+}
+
+// growParts extends the per-slot cache to cover slot. It runs once per
+// new slot; it is kept out of line so clientsOf's steady state stays
+// within its //copier:noalloc contract.
+//
+//go:noinline
+func (s *Service) growParts(slot int) {
+	s.parts = append(s.parts, make([]clientPart, slot+1-len(s.parts))...)
+}
+
+// partition computes clientsOf(slot) from scratch into a fresh slice,
+// so a cached partition a caller is still iterating is never
+// overwritten.
+func (s *Service) partition(slot int) []*Client {
+	var out []*Client
 	if nn := s.numNodes(); nn > 1 {
 		node := slot % nn
 		perNode := s.activeThreads / nn
@@ -780,7 +829,6 @@ func (s *Service) clientsOf(slot int) []*Client {
 			perNode = 1
 		}
 		rank := slot / nn
-		var out []*Client
 		i := 0
 		for _, c := range s.clients {
 			if c.Node != node {
@@ -794,13 +842,6 @@ func (s *Service) clientsOf(slot int) []*Client {
 		return out
 	}
 	n := s.activeThreads
-	if n <= 0 {
-		n = 1
-	}
-	if n == 1 {
-		return s.clients
-	}
-	var out []*Client
 	for i, c := range s.clients {
 		if i%n == slot {
 			out = append(out, c)

@@ -82,4 +82,13 @@ go test -run 'TestChaosInvariants' ./internal/bench
 echo "== chaosfleet smoke =="
 go test -run 'TestChaosFleetInvariants|TestChaosFleetDeterministic' ./internal/bench
 
+# Benchmark tests: perfbench is a module of its own (BENCHMARK.json),
+# built against this tree through a replace directive, so nothing
+# above compiles it. Its smoke runs drive the public core, mem, sim,
+# kernel and acopy APIs it uses (ThreadMain, ATCacheStats, ...) and
+# check that the metric names match BENCHMARK.json; a change to those
+# APIs fails here instead of in the next benchmark run.
+echo "== perfbench tests =="
+(cd perfbench && go test ./...)
+
 echo "ALL CHECKS PASSED"
