@@ -132,6 +132,66 @@ func ATCacheMissEvict(b *testing.B) {
 	}
 }
 
+// IdleSweep is the body of the core/idle-sweep row and of
+// core.BenchmarkIdleSweep: one service thread polls 12 clients that
+// never submit, and every op is one empty ThreadMain poll sweep
+// (serveOnce, the CFS pick and the poll iteration cost). The NAPI
+// budget is raised past the run so the thread never sleeps.
+func IdleSweep(b *testing.B) {
+	const clients = 12
+	const period = sim.Time(cycles.SchedulePick + cycles.PollIteration)
+	env := sim.NewEnv()
+	pm := mem.NewPhysMem(1 << 20)
+	cfg := core.DefaultConfig()
+	cfg.NAPIBudget = 1 << 30
+	svc := core.NewService(env, pm, cfg)
+	as := mem.NewAddrSpace(pm)
+	for i := 0; i < clients; i++ {
+		svc.NewClient("idle", as, as, nil)
+	}
+	env.Go("copierd", func(p *sim.Proc) { svc.ThreadMain(benchCtx{p}, 0) })
+	// Past the activation's XSave and into the sweep loop. Sweeps then
+	// complete once per period, so any window of N periods holds N.
+	for svc.Stats.PollSweeps < 2 {
+		if err := env.Run(env.Now() + period); err != nil {
+			b.Fatal(err)
+		}
+	}
+	before := svc.Stats.PollSweeps
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := env.Run(env.Now() + sim.Time(b.N)*period); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	if got := svc.Stats.PollSweeps - before; got != int64(b.N) {
+		b.Fatalf("%d poll sweeps in %d periods", got, b.N)
+	}
+	svc.Stop()
+	if err := env.Run(sim.Infinity); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// LoneWait is the body of the sim/lone-wait row and of
+// sim.BenchmarkLoneWait: a single process calling Wait(1), so every
+// wake-up is the next event and Wait returns without a coroutine
+// switch.
+func LoneWait(b *testing.B) {
+	e := sim.NewEnv()
+	n := b.N
+	e.Go("p", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			p.Wait(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(sim.Infinity); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // RunMicrobenches runs the hot-path microbenchmarks covering the three
 // layers this repo optimizes — the simulator event queue, the service
 // ring/dispatch path, and the acopy userspace runtime — and returns
@@ -207,6 +267,10 @@ func RunMicrobenches() MicroReport {
 		}
 	}))
 
+	// Simulator: a lone process waiting, resumed without a switch
+	// (sim.BenchmarkLoneWait runs the same body).
+	results = append(results, micro("sim/lone-wait", 0, LoneWait))
+
 	// Service ring: batched drain — 16 publishes, one PopN, one tail
 	// update (mirrors core.BenchmarkRingPopN; one op = one 16-task
 	// round).
@@ -230,6 +294,10 @@ func RunMicrobenches() MicroReport {
 	// entry of a full 4096-entry cache (core.BenchmarkATCacheEvict
 	// runs the same body).
 	results = append(results, micro("core/atcache-miss-evict", 0, ATCacheMissEvict))
+
+	// Service poll loop: one empty sweep over 12 idle clients on one
+	// thread (core.BenchmarkIdleSweep runs the same body).
+	results = append(results, micro("core/idle-sweep", 0, IdleSweep))
 
 	// Service end-to-end: one op drives 40 back-to-back 64KB copies
 	// through submit → admit → dispatch → completion on the simulated

@@ -37,6 +37,24 @@ type CGroupAccount struct {
 // standalone context (§3.2). Each client owns paired user-mode and
 // kernel-mode queue sets (§4.2.1).
 type Client struct {
+	// The fields every poll sweep reads for every client come first,
+	// so they share one cache line: Go's size classes from 512 bytes
+	// up are multiples of 64, so a Client starts on a line boundary.
+
+	// pending is the merged, order-indexed list of admitted copy
+	// tasks not yet executed (§4.2: order tracking).
+	pending []*Task
+	// rung is set by every doorbell (each Submit* path rings one) and
+	// cleared by admit only once every ring of the client — U/K Copy,
+	// U/K Sync and the shard rings — is empty. So !rung implies empty
+	// rings, and the sweep skips the admit and sync passes for the
+	// client without changing what they would do.
+	rung bool
+	// dying is set by Service.KillClient; the next service sweep runs
+	// the teardown protocol and then sets closed.
+	dying  bool
+	closed bool
+
 	ID   int
 	Name string
 
@@ -68,9 +86,6 @@ type Client struct {
 
 	svc *Service
 
-	// pending is the merged, order-indexed list of admitted copy
-	// tasks not yet executed (§4.2: order tracking).
-	pending []*Task
 	// nextOrder stamps admission order across both queue sets.
 	nextOrder uint64
 	// uAdmitted counts user Copy-Queue tasks admitted, compared
@@ -110,11 +125,6 @@ type Client struct {
 	pairBuf2 [][2]hw.FrameRange
 	pendBuf  []sim.Time
 	engBuf   []int
-
-	// dying is set by Service.KillClient; the next service sweep runs
-	// the teardown protocol and then sets closed.
-	dying  bool
-	closed bool
 }
 
 // Closed reports whether the client has been unregistered (explicitly
@@ -249,21 +259,13 @@ func (c *Client) PopHandler() *Handler {
 // HandlerQueueLen reports queued UFUNC count.
 func (c *Client) HandlerQueueLen() int { return len(c.U.handlers) }
 
-// hasWork reports whether any queue holds unprocessed tasks or the
-// merged pending list is non-empty.
-func (c *Client) hasWork() bool {
-	if len(c.pending) > 0 {
-		return true
+// ringsEmpty reports whether every ring of the client is empty,
+// counting acquired-but-unpublished slots as occupied.
+func (c *Client) ringsEmpty() bool {
+	if c.U.Copy.Len() != 0 || c.K.Copy.Len() != 0 || c.U.Sync.Len() != 0 || c.K.Sync.Len() != 0 {
+		return false
 	}
-	for _, q := range []*QueueSet{c.U, c.K} {
-		if q.Copy.Peek() != nil || q.Sync.Peek() != nil {
-			return true
-		}
-	}
-	if c.Shards != nil && c.Shards.Len() > 0 {
-		return true
-	}
-	return false
+	return c.Shards == nil || c.Shards.Len() == 0
 }
 
 // admit drains the client's Copy Queues into the merged pending list,
@@ -335,6 +337,11 @@ func (c *Client) admit(ctx Ctx, svc *Service) {
 			progressed = true
 		}
 		if !progressed {
+			// A barrier-capped user ring or a queued Sync Task keeps
+			// the client rung until a later pass takes it.
+			if c.ringsEmpty() {
+				c.rung = false
+			}
 			return
 		}
 	}
@@ -384,13 +391,19 @@ func (c *Client) admitTask(t *Task, svc *Service) {
 }
 
 // removeExecuted compacts the pending list, dropping executed and
-// aborted tasks.
+// aborted tasks. It scans before it writes, so a call that finds
+// nothing to drop stores nothing.
 func (c *Client) removeExecuted() {
-	out := c.pending[:0]
-	for _, t := range c.pending {
-		if !t.executed && !t.aborted {
-			out = append(out, t)
+	for i, t := range c.pending {
+		if t.executed || t.aborted {
+			out := c.pending[:i]
+			for _, u := range c.pending[i+1:] {
+				if !u.executed && !u.aborted {
+					out = append(out, u)
+				}
+			}
+			c.pending = out
+			return
 		}
 	}
-	c.pending = out
 }

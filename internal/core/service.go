@@ -659,8 +659,10 @@ func (s *Service) CloseClient(c *Client) {
 	}
 }
 
-// doorbell notifies service threads of new work.
+// doorbell marks the client rung and notifies service threads of new
+// work.
 func (s *Service) doorbell(c *Client) {
+	c.rung = true
 	if s.sleeping > 0 {
 		s.workSig.Broadcast(s.env)
 	}
@@ -857,6 +859,51 @@ func (s *Service) serveOnce(ctx Ctx, slot int) bool {
 	s.brownoutEval(s.now())
 	mine := s.clientsOf(slot)
 	worked := false
+	if !allQuiet(mine) {
+		mine, worked = s.sweep(ctx, slot, mine)
+	}
+	// CFS pick: group with minimum vruntime, then client within
+	// (§4.5.3).
+	c := s.pickClient(ctx, mine)
+	if c == nil {
+		return worked || s.inflightDMA > 0
+	}
+	budget := s.cfg.CopySlice
+	if s.brownout {
+		// Brownout batches more aggressively: a doubled copy slice
+		// amortizes scheduling and submission costs while the service
+		// digs out of the backlog.
+		budget *= 2
+	}
+	served := s.serveClient(ctx, c, budget)
+	return worked || served || s.inflightDMA > 0
+}
+
+// allQuiet reports whether the sweep passes would find nothing to do
+// for any client: none is rung, holds admitted tasks or awaits
+// teardown. The passes charge no cycles and never yield for such a
+// client, so skipping them all is exact; a submission landing during
+// a later yield goes into a ring, and the next sweep sees it rung.
+//
+//copier:noalloc
+func allQuiet(mine []*Client) bool {
+	for _, c := range mine {
+		if c.rung || len(c.pending) != 0 || c.dying {
+			return false
+		}
+	}
+	return true
+}
+
+// sweep runs the per-client passes of serveOnce ahead of the CFS pick:
+// teardown of dead clients, admission, Sync Queues, completion and
+// deadline finalization, and lazy expiry. It returns the slot's
+// client list (refreshed if a teardown changed it) and whether any
+// work was done. Each pass checks its skip condition live at each
+// client, because a yield while serving an earlier client can ring a
+// later one.
+func (s *Service) sweep(ctx Ctx, slot int, mine []*Client) ([]*Client, bool) {
+	worked := false
 	// Dead clients first: reclaim their state before serving anything
 	// else. Collected into a scratch slice because teardown unregisters
 	// the client, mutating the list mine may alias.
@@ -874,7 +921,7 @@ func (s *Service) serveOnce(ctx Ctx, slot int) bool {
 		mine = s.clientsOf(slot)
 	}
 	for _, c := range mine {
-		if c.closed {
+		if c.closed || !c.rung {
 			continue
 		}
 		before := len(c.pending)
@@ -886,7 +933,7 @@ func (s *Service) serveOnce(ctx Ctx, slot int) bool {
 	// Sync Tasks first: kernel-mode queues, then user-mode (§4.2.2).
 	for _, kmode := range []bool{true, false} {
 		for _, c := range mine {
-			if s.serveSyncQueue(ctx, c, kmode) {
+			if c.rung && s.serveSyncQueue(ctx, c, kmode) {
 				worked = true
 			}
 		}
@@ -898,6 +945,9 @@ func (s *Service) serveOnce(ctx Ctx, slot int) bool {
 	// are collected first).
 	dnow := s.now()
 	for _, c := range mine {
+		if len(c.pending) == 0 {
+			continue
+		}
 		var failed, late []*Task
 		for _, t := range c.pending {
 			if t.executed || t.aborted || t.Kind != KindCopy {
@@ -933,6 +983,9 @@ func (s *Service) serveOnce(ctx Ctx, slot int) bool {
 	// Expire lazy tasks.
 	now := s.now()
 	for _, c := range mine {
+		if len(c.pending) == 0 {
+			continue
+		}
 		var expired []*Task
 		for _, t := range c.pending {
 			if t.Lazy && !t.executed && !t.aborted && now >= t.LazyDeadline {
@@ -946,21 +999,7 @@ func (s *Service) serveOnce(ctx Ctx, slot int) bool {
 		}
 		c.removeExecuted()
 	}
-	// CFS pick: group with minimum vruntime, then client within
-	// (§4.5.3).
-	c := s.pickClient(ctx, mine)
-	if c == nil {
-		return worked || s.inflightDMA > 0
-	}
-	budget := s.cfg.CopySlice
-	if s.brownout {
-		// Brownout batches more aggressively: a doubled copy slice
-		// amortizes scheduling and submission costs while the service
-		// digs out of the backlog.
-		budget *= 2
-	}
-	served := s.serveClient(ctx, c, budget)
-	return worked || served || s.inflightDMA > 0
+	return mine, worked
 }
 
 // pickClient implements the two-level CFS-by-copy-length policy.

@@ -64,6 +64,11 @@ type Env struct {
 	procs   []*Proc // all spawned, for deadlock diagnosis
 	nlive   int     // procs started and not yet finished
 	running bool
+	// horizon is Run's until while Run drives the loop, and -1
+	// otherwise (before and between Run calls, and inside a ShardSet
+	// window). Proc.Wait resumes a lone waiter without a switch only
+	// up to it.
+	horizon Time
 	tracer  func(t Time, format string, args ...any)
 	rec     *obs.Recorder
 }
@@ -84,7 +89,7 @@ func NewEnv() *Env {
 
 // newEnv is the one constructor behind NewEnv, JobCtx.NewEnv and
 // NewShardSet; it runs no hook.
-func newEnv() *Env { return &Env{} }
+func newEnv() *Env { return &Env{horizon: -1} }
 
 // SetRecorder attaches a typed-event recorder. A nil recorder (the
 // default) disables structured recording; every emission site in the
@@ -206,13 +211,25 @@ func (p *Proc) Now() Time { return p.env.now }
 // Wait advances virtual time by d cycles from this process's
 // perspective: the process sleeps and other events run meanwhile.
 //
+// A lone waiter is resumed without a coroutine switch: when Run drives
+// the loop, now+d is within its until, and every pending event is
+// strictly later than now+d, the wake-up Wait would schedule is the
+// next event Run pops, so advancing the clock and returning is the
+// same (at, seq) order. A pending event at exactly now+d (even a
+// canceled one) forces the switch, because its older seq runs first.
+//
 //copier:noalloc
 func (p *Proc) Wait(d Time) {
 	if d < 0 {
 		badDelay(p.name, d)
 	}
-	// d == 0 still yields so same-instant events interleave fairly.
-	p.env.Schedule(d, p.handoffFn)
+	e := p.env
+	if t := e.now + d; t <= e.horizon && (e.events.empty() || e.events.peekAt() > t) {
+		e.now = t
+		return
+	}
+	// Otherwise d == 0 still yields, so same-instant events run first.
+	e.Schedule(d, p.handoffFn)
 	p.yield()
 }
 
@@ -412,7 +429,8 @@ func (e *Env) Run(until Time) error {
 		panic("sim: Run reentered")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	e.horizon = until
+	defer func() { e.running, e.horizon = false, -1 }()
 	for !e.events.empty() {
 		if e.events.peekAt() > until {
 			e.now = until

@@ -62,6 +62,15 @@ go test -race -short ./internal/bench
 echo "== shards=1 vs 4 identity smoke =="
 go test -run 'TestShardIdentityFleetPar' ./internal/bench
 
+# Simulated-output pin: the serial tables plus Perfetto export of
+# fig9, fig12b, chaos, fleet, fleetpar and chaosfleet must hash to
+# internal/bench/testdata/output.sha256. Two runs of one build agreeing
+# (the goldens above) cannot see a host-side change that moves virtual
+# time; this can. Regenerate only with -update, and say why in
+# CHANGES.md.
+echo "== simulated-output digests =="
+go test -run 'TestShardIdentity' ./internal/bench
+
 # Fleet smoke: one small open-loop run per topology shape through the
 # sharded service; fails on lost completions, disordered quantiles,
 # or out-of-range utilization.
